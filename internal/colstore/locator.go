@@ -204,7 +204,7 @@ func gatherCodesVia[T any, C uint8 | uint16](l *FragLocator, dst []T, dict []T, 
 }
 
 // Value returns the boxed logical value at a row id, decoding enum codes
-// (value-at-a-time path: the merged delta scan and delta-aware fetches).
+// (value-at-a-time path: delta-aware fetches).
 func (l *FragLocator) Value(id int) (any, error) {
 	e, err := l.entryFor(id)
 	if err != nil {
@@ -224,14 +224,4 @@ func (l *FragLocator) Value(id int) (any, error) {
 		return c.Dict.decoded(code), nil
 	}
 	return vector.FromAny(c.Typ, e.data).Value(id - e.base), nil
-}
-
-// PhysValue returns the boxed physical value at a row id (the code for
-// enum columns).
-func (l *FragLocator) PhysValue(id int) (any, error) {
-	e, err := l.entryFor(id)
-	if err != nil {
-		return nil, err
-	}
-	return vector.FromAny(l.col.vecType(), e.data).Value(id - e.base), nil
 }

@@ -59,17 +59,37 @@ func runSorted(t *testing.T, db *Database, plan algebra.Node, parallelism int) m
 	return out
 }
 
+// sameGroups asserts two runSorted results hold the same groups with the
+// same aggregate values.
+func sameGroups(t *testing.T, label string, want, got map[string][]any) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: group sets differ: %v vs %v", label, got, want)
+	}
+	for k, w := range want {
+		g, ok := got[k]
+		if !ok {
+			t.Fatalf("%s: group %q missing", label, k)
+		}
+		for c := range w {
+			if fmt.Sprint(g[c]) != fmt.Sprint(w[c]) {
+				t.Fatalf("%s: group %q col %d: %v vs %v", label, k, c, g[c], w[c])
+			}
+		}
+	}
+}
+
 // TestParallelScanWithInsertDeltas asserts a table with pending insert
-// deltas executes partitioned (via the automatic checkpoint) with results
-// identical to the serial merged scan, and that the checkpoint preserved
-// visible state.
+// deltas executes partitioned — the delta rows are one more morsel range —
+// with results identical to the serial scan, that no query absorbs the
+// delta, and that an explicit Checkpoint leaves the answer unchanged.
 func TestParallelScanWithInsertDeltas(t *testing.T) {
 	const n = 5000
 	db := deltaTestDB(t, n)
 	ds, _ := db.Delta("ev")
 	for i := 0; i < 500; i++ {
-		// New enum value "d" exercises dictionary growth across the
-		// checkpoint.
+		// New enum value "d" exercises a dictionary value first seen in
+		// the delta, before and after the checkpoint.
 		tag := []string{"a", "d"}[i%2]
 		if _, err := ds.Insert([]any{int32(n + i), float64(100 + i%7), tag}); err != nil {
 			t.Fatal(err)
@@ -77,41 +97,21 @@ func TestParallelScanWithInsertDeltas(t *testing.T) {
 	}
 	plan := evPlan(t)
 	serial := runSorted(t, db, plan, 1)
-	if ds.NumDeltaRows() != 500 {
-		t.Fatalf("serial run must leave deltas, has %d", ds.NumDeltaRows())
-	}
-	par := runSorted(t, db, plan, 4)
-	if ds.NumDeltaRows() != 0 {
-		t.Fatalf("parallel run should have checkpointed, %d delta rows left", ds.NumDeltaRows())
+	for _, p := range []int{4, 8} {
+		sameGroups(t, fmt.Sprintf("p=%d", p), serial, runSorted(t, db, plan, p))
 	}
 	tab, _ := db.Table("ev")
-	if tab.N != n+500 || tab.Col("k").NumFrags() != 2 {
-		t.Fatalf("base not extended: N=%d frags=%d", tab.N, tab.Col("k").NumFrags())
+	if ds.NumDeltaRows() != 500 || tab.N != n {
+		t.Fatalf("queries must leave the delta pending: %d delta rows, base N=%d", ds.NumDeltaRows(), tab.N)
 	}
-	if len(par) != len(serial) {
-		t.Fatalf("group sets differ: %v vs %v", par, serial)
+	if done, err := db.Checkpoint("ev"); err != nil || !done {
+		t.Fatalf("checkpoint: done=%v err=%v", done, err)
 	}
-	for k, want := range serial {
-		got, ok := par[k]
-		if !ok {
-			t.Fatalf("group %q missing in parallel result", k)
-		}
-		for c := range want {
-			if fmt.Sprint(got[c]) != fmt.Sprint(want[c]) {
-				t.Fatalf("group %q col %d: %v vs %v", k, c, got[c], want[c])
-			}
-		}
+	if ds.NumDeltaRows() != 0 {
+		t.Fatalf("checkpoint left %d delta rows", ds.NumDeltaRows())
 	}
-	// And the checkpointed table agrees with itself again at higher
-	// parallelism.
-	par8 := runSorted(t, db, plan, 8)
-	for k, want := range serial {
-		got := par8[k]
-		for c := range want {
-			if fmt.Sprint(got[c]) != fmt.Sprint(want[c]) {
-				t.Fatalf("p=8 group %q col %d: %v vs %v", k, c, got[c], want[c])
-			}
-		}
+	for _, p := range []int{1, 4} {
+		sameGroups(t, fmt.Sprintf("checkpointed p=%d", p), serial, runSorted(t, db, plan, p))
 	}
 }
 
@@ -129,18 +129,7 @@ func TestParallelScanWithDeletions(t *testing.T) {
 	plan := evPlan(t)
 	serial := runSorted(t, db, plan, 1)
 	for _, p := range []int{2, 4, 8} {
-		par := runSorted(t, db, plan, p)
-		if len(par) != len(serial) {
-			t.Fatalf("p=%d: group sets differ", p)
-		}
-		for k, want := range serial {
-			got := par[k]
-			for c := range want {
-				if fmt.Sprint(got[c]) != fmt.Sprint(want[c]) {
-					t.Fatalf("p=%d group %q col %d: %v vs %v", p, k, c, got[c], want[c])
-				}
-			}
-		}
+		sameGroups(t, fmt.Sprintf("p=%d", p), serial, runSorted(t, db, plan, p))
 	}
 	// Sanity: deletions actually removed rows (count per group shrank).
 	total := 0

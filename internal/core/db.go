@@ -804,8 +804,8 @@ func (db *Database) DeriveRangeIndex(fetchedTable, refTable, rowIDCol string) er
 
 // buildRangeIndexFromCol derives a range index from a fetched table's
 // row-id column over the referenced table's current row-id space (base
-// plus pending delta, so referenced ids a merged scan can produce always
-// resolve to a — possibly empty — range).
+// plus pending delta, so referenced ids a scan can produce from delta rows
+// always resolve to a — possibly empty — range).
 func (db *Database) buildRangeIndexFromCol(fetchedTable, refTable, rowIDCol string) (*sindex.RangeIndex, error) {
 	ft, err := db.Table(fetchedTable)
 	if err != nil {

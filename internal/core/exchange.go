@@ -29,49 +29,63 @@ import (
 // small enough that stragglers rebalance (morsel-driven scheduling).
 const defaultMorselRows = 16384
 
-// morselSource hands out contiguous row-range morsels of a scan to worker
-// pipelines. Claiming is a single atomic add, so workers that finish early
-// keep pulling work until the range is exhausted.
+// morselSource hands out contiguous row-range morsels of a scan's row
+// domain — the (pruned) base rows, then the snapshot's delta rows — to
+// worker pipelines. Claiming is a single atomic add, so workers that finish
+// early keep pulling work until the domain is exhausted. No morsel spans
+// the base/delta boundary.
 //
-// For disk-backed tables the morsel grid is aligned to the table's ColumnBM
-// chunk size: the morsel length is rounded up to a chunk multiple and
-// claims start on the chunk grid, so two workers never split one chunk
+// For disk-backed tables the base morsel grid is aligned to the table's
+// ColumnBM chunk size: the morsel length is rounded up to a chunk multiple
+// and claims start on the chunk grid, so two workers never split one chunk
 // (each compressed chunk is decoded by exactly one worker; only the scan
 // range's pruned edges can begin or end mid-chunk).
 type morselSource struct {
-	lo, hi int
-	base   int // first grid position, <= lo
+	spans  [2]morselSpan // base, delta
 	morsel int
-	next   atomic.Int64
+	next   atomic.Int64 // index of the next unclaimed morsel
 }
 
-func newMorselSource(lo, hi, align int, opts ExecOptions) *morselSource {
+// morselSpan is a row range [lo,hi) cut into n morsels on a grid that
+// starts at first <= lo.
+type morselSpan struct{ lo, hi, first, n int }
+
+func newMorselSource(lo, hi, deltaLo, deltaHi, align int, opts ExecOptions) *morselSource {
 	morsel := max(opts.batchSize(), defaultMorselRows)
+	first := lo
 	if align > 0 {
 		morsel = (morsel + align - 1) / align * align
+		first = lo / morsel * morsel
 	}
-	base := lo
-	if align > 0 {
-		base = lo / morsel * morsel
+	span := func(lo, hi, first int) morselSpan {
+		if hi <= lo {
+			return morselSpan{}
+		}
+		return morselSpan{lo: lo, hi: hi, first: first, n: (hi - first + morsel - 1) / morsel}
 	}
-	m := &morselSource{lo: lo, hi: hi, base: base, morsel: morsel}
-	m.next.Store(int64(base))
-	return m
+	return &morselSource{
+		spans:  [2]morselSpan{span(lo, hi, first), span(deltaLo, deltaHi, deltaLo)},
+		morsel: morsel,
+	}
 }
 
 // reset rewinds the dispenser so a re-Opened plan scans the full range
 // again. The coordinating operator (exchange, parallel aggregation) calls
 // it at Open, before any worker goroutine starts claiming.
-func (m *morselSource) reset() { m.next.Store(int64(m.base)) }
+func (m *morselSource) reset() { m.next.Store(0) }
 
 // claim returns the next unclaimed morsel [lo,hi), or ok=false when the
-// range is exhausted.
+// domain is exhausted.
 func (m *morselSource) claim() (int, int, bool) {
-	lo := int(m.next.Add(int64(m.morsel))) - m.morsel
-	if lo >= m.hi {
-		return 0, 0, false
+	k := int(m.next.Add(1)) - 1
+	for _, sp := range m.spans {
+		if k < sp.n {
+			lo := sp.first + k*m.morsel
+			return max(lo, sp.lo), min(lo+m.morsel, sp.hi), true
+		}
+		k -= sp.n
 	}
-	return max(lo, m.lo), min(lo+m.morsel, m.hi), true
+	return 0, 0, false
 }
 
 // exchMsg is one hand-off from a worker to the consumer.
@@ -409,34 +423,25 @@ func (op *parallelAggrOp) run() error {
 // partitionable reports whether the subtree rooted at plan can be compiled
 // into per-worker partition pipelines over a shared morsel source: a chain
 // of Select/Project/Fetch1Join/FetchNJoin and hash-join probe sides rooted
-// at a Scan. Pending insert deltas are checkpointed into base fragments
-// before parallel compilation (see Build), and deletion lists are applied
-// as selection vectors inside the partitioned scan, so only the rare
-// un-checkpointable table (enum dictionary outgrew its code width) still
-// falls back to the serial merged scan.
-func partitionable(opts ExecOptions, plan algebra.Node) bool {
+// at a Scan. Every scan partitions: pending inserts are one more morsel
+// range and deletions a selection vector, so a query never has to absorb
+// its tables' deltas first.
+func partitionable(plan algebra.Node) bool {
 	switch n := plan.(type) {
 	case *algebra.Scan:
-		// Resolved through the query's captured view, so the decision is
-		// consistent with what the partitioned scan will actually read even
-		// when writers append concurrently.
-		v, err := opts.snaps.view(n.Table)
-		if err != nil {
-			return false
-		}
-		return v.delta.NumDeltaRows() == 0
+		return true
 	case *algebra.Select:
-		return partitionable(opts, n.Input)
+		return partitionable(n.Input)
 	case *algebra.Project:
-		return partitionable(opts, n.Input)
+		return partitionable(n.Input)
 	case *algebra.Join:
 		// Equi-joins only: the probe side partitions, the build side is
 		// materialized once and probed concurrently.
-		return len(n.On) > 0 && partitionable(opts, n.Left)
+		return len(n.On) > 0 && partitionable(n.Left)
 	case *algebra.Fetch1Join:
-		return partitionable(opts, n.Input)
+		return partitionable(n.Input)
 	case *algebra.FetchNJoin:
-		return partitionable(opts, n.Input)
+		return partitionable(n.Input)
 	default:
 		return false
 	}
@@ -510,7 +515,7 @@ func (c *parCtx) buildPartition(plan algebra.Node, opts ExecOptions) (Operator, 
 		}
 		jb := c.joins[n]
 		if jb == nil {
-			if nw := opts.parallelism(); nw > 1 && partitionable(opts, n.Right) {
+			if nw := opts.parallelism(); nw > 1 && partitionable(n.Right) {
 				// Partitioned parallel build: per-worker pipelines drain
 				// morsels into private builders, hash and insert in
 				// parallel (joinBuild.drainParallel/index). The build still
@@ -576,12 +581,10 @@ func (c *parCtx) partScan(n *algebra.Scan, pred expr.Expr, opts ExecOptions) (*s
 		if pred != nil {
 			applySummaryBounds(op.view, pred, op)
 		}
-		// Align morsels to the ColumnBM chunk grid of disk-backed tables so
-		// workers never split (and thus never redundantly decompress) a chunk.
-		src = newMorselSource(op.lo, op.hi, op.view.chunkRows, opts)
+		src = op.newMorselSource()
 		c.scans[n] = src
 	}
-	op.source = src
+	op.shared = src
 	return op, nil
 }
 
@@ -677,7 +680,7 @@ func newParallelAggr(db *Database, n *algebra.Aggr, opts ExecOptions) (Operator,
 func buildParallel(db *Database, plan algebra.Node, opts ExecOptions) (Operator, error) {
 	switch n := plan.(type) {
 	case *algebra.Aggr:
-		if partitionable(opts, n.Input) {
+		if partitionable(n.Input) {
 			op, ok, err := newParallelAggr(db, n, opts)
 			if err != nil {
 				return nil, err
@@ -692,18 +695,10 @@ func buildParallel(db *Database, plan algebra.Node, opts ExecOptions) (Operator,
 		}
 		return newAggrOp(in, n, opts)
 	case *algebra.Scan:
-		if partitionable(opts, n) {
-			return newExchangeOp(db, n, opts)
-		}
-		return build(db, plan, opts)
+		return newExchangeOp(db, n, opts)
 	case *algebra.Select:
-		if partitionable(opts, n) {
+		if partitionable(n) {
 			return newExchangeOp(db, n, opts)
-		}
-		if _, ok := n.Input.(*algebra.Scan); ok {
-			// Delta-bearing scan below: serial path keeps the
-			// summary-bounds special case.
-			return build(db, plan, opts)
 		}
 		in, err := buildParallel(db, n.Input, opts)
 		if err != nil {
@@ -711,7 +706,7 @@ func buildParallel(db *Database, plan algebra.Node, opts ExecOptions) (Operator,
 		}
 		return newSelectOp(in, n.Pred, opts)
 	case *algebra.Project:
-		if partitionable(opts, n) {
+		if partitionable(n) {
 			return newExchangeOp(db, n, opts)
 		}
 		in, err := buildParallel(db, n.Input, opts)
@@ -720,7 +715,7 @@ func buildParallel(db *Database, plan algebra.Node, opts ExecOptions) (Operator,
 		}
 		return newProjectOp(in, n.Exprs, opts)
 	case *algebra.Join:
-		if partitionable(opts, n) {
+		if partitionable(n) {
 			return newExchangeOp(db, n, opts)
 		}
 		if len(n.On) == 0 {
@@ -736,7 +731,7 @@ func buildParallel(db *Database, plan algebra.Node, opts ExecOptions) (Operator,
 		}
 		return newHashJoinOp(l, r, n, opts)
 	case *algebra.Fetch1Join:
-		if partitionable(opts, n) {
+		if partitionable(n) {
 			return newExchangeOp(db, n, opts)
 		}
 		in, err := buildParallel(db, n.Input, opts)
@@ -745,7 +740,7 @@ func buildParallel(db *Database, plan algebra.Node, opts ExecOptions) (Operator,
 		}
 		return newFetch1JoinOp(db, in, n, opts)
 	case *algebra.FetchNJoin:
-		if partitionable(opts, n) {
+		if partitionable(n) {
 			return newExchangeOp(db, n, opts)
 		}
 		in, err := buildParallel(db, n.Input, opts)
@@ -754,7 +749,7 @@ func buildParallel(db *Database, plan algebra.Node, opts ExecOptions) (Operator,
 		}
 		return newFetchNJoinOp(db, in, n, opts)
 	case *algebra.Order:
-		if opts.parallelism() > 1 && partitionable(opts, n.Input) {
+		if opts.parallelism() > 1 && partitionable(n.Input) {
 			return newParallelOrderOp(db, n.Input, n.Keys, 0, opts)
 		}
 		in, err := buildParallel(db, n.Input, opts)
@@ -763,7 +758,7 @@ func buildParallel(db *Database, plan algebra.Node, opts ExecOptions) (Operator,
 		}
 		return newOrderOp(in, n.Keys, 0, opts)
 	case *algebra.TopN:
-		if opts.parallelism() > 1 && partitionable(opts, n.Input) {
+		if opts.parallelism() > 1 && partitionable(n.Input) {
 			return newParallelOrderOp(db, n.Input, n.Keys, n.N, opts)
 		}
 		in, err := buildParallel(db, n.Input, opts)

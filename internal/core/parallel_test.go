@@ -336,8 +336,9 @@ func TestParallelEmptyTable(t *testing.T) {
 	}
 }
 
-// TestParallelDeltaFallback: a table with pending deltas must fall back to
-// the serial scan and still produce correct results at any parallelism.
+// TestParallelDeltaFallback: a table with pending inserts and deletions
+// produces the serial result at any parallelism (the partitioned scan
+// covers the delta rows as one more morsel range).
 func TestParallelDeltaFallback(t *testing.T) {
 	db := parallelDB(t, 20_000)
 	ds, err := db.Delta("fact")

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"x100/internal/colstore"
@@ -24,6 +25,7 @@ const DictSuffix = "#dict"
 type scanCol struct {
 	name    string
 	col     *colstore.Column
+	ti      int // index of col in the table view (its delta column)
 	isRowID bool
 	rawCode bool
 	// dictRead marks a logical read served through the code domain: enum
@@ -35,10 +37,8 @@ type scanCol struct {
 	// reader streams the column's base fragments, materializing at most
 	// one (decompressed ColumnBM chunk or in-memory slice) at a time.
 	reader *colstore.FragReader
-	// loc resolves single row ids on the merged delta path without pinning
-	// (built lazily: most scans never need it).
-	loc *colstore.FragLocator
-	// decode buffer for dictionary columns read logically.
+	// buf is the decode buffer of a dictRead column, or the code buffer a
+	// rawCode column encodes delta rows into.
 	buf *vector.Vector
 }
 
@@ -76,17 +76,19 @@ type scanOp struct {
 	cols   []scanCol
 	schema vector.Schema
 	opts   ExecOptions
-	lo, hi int // base-fragment row bounds (summary-index pruning)
+	// lo, hi bound the scanned base rows (summary-index pruning). The row
+	// domain is [lo,hi) followed by the snapshot's delta rows
+	// [view.n, view.n+NumDeltaRows()), which keep their global row ids.
+	lo, hi int
 
-	// source, when non-nil, makes this a partitioned scan: instead of
-	// walking [lo,hi) sequentially the operator claims row-range morsels
-	// from the shared dispenser, so sibling scans on other goroutines
-	// balance the work dynamically.
-	source   *morselSource
-	morselHi int
+	// shared, when non-nil, makes this a partitioned scan: the operator
+	// claims row-range morsels from a dispenser shared with sibling scans
+	// on other goroutines, so they balance the work dynamically. A serial
+	// scan claims from a private dispenser created at Open.
+	shared  *morselSource
+	morsels *morselSource
 
-	pos      int
-	deltaPos int
+	pos, end int // unscanned rows [pos,end) of the current morsel
 	rowIDBuf []int32
 	selBuf   []int32
 	batch    *vector.Batch
@@ -140,6 +142,7 @@ func newScanOp(db *Database, table string, cols []string, opts ExecOptions) (*sc
 				sc.dictRead = true
 			}
 		}
+		sc.ti = slices.Index(v.cols, sc.col)
 		op.cols = append(op.cols, sc)
 		op.schema = append(op.schema, vector.Field{Name: name, Type: sc.typ})
 	}
@@ -149,23 +152,21 @@ func newScanOp(db *Database, table string, cols []string, opts ExecOptions) (*sc
 func (s *scanOp) Schema() vector.Schema { return s.schema }
 
 func (s *scanOp) Open() error {
-	s.pos = s.lo
-	s.morselHi = 0
-	if s.source != nil {
-		// Partitioned scan: rows come from claimed morsels, not [lo,hi).
-		s.pos = 0
+	s.morsels = s.shared
+	if s.morsels == nil {
+		s.morsels = s.newMorselSource()
 	}
-	s.deltaPos = 0
+	s.pos, s.end = 0, 0
 	// Buffers are sized to the actual batch length: with vector sizes far
 	// beyond the table size (Figure 10's right edge) a batch is at most the
 	// table itself.
-	n := min(s.opts.batchSize(), max(s.hi-s.lo, 1))
+	n := min(s.opts.batchSize(), max(s.hi-s.lo, s.dsnap.NumDeltaRows(), 1))
 	s.rowIDBuf = make([]int32, n)
 	s.selBuf = make([]int32, 0, n)
 	for i := range s.cols {
 		sc := &s.cols[i]
 		sc.reader = sc.newReader()
-		if sc.dictRead {
+		if sc.dictRead || sc.rawCode {
 			sc.buf = vector.New(sc.typ, n)
 		}
 	}
@@ -173,6 +174,15 @@ func (s *scanOp) Open() error {
 	// Charge the scan's decode/row-id buffers against the query budget.
 	s.opts.life.reserve(batchBytes(len(s.cols)+1, n))
 	return nil
+}
+
+// newMorselSource creates a dispenser over the scan's row domain: the
+// pruned base rows, with morsels aligned to the ColumnBM chunk grid of
+// disk-backed tables so workers never split (and thus never redundantly
+// decompress) a chunk, then the delta rows.
+func (s *scanOp) newMorselSource() *morselSource {
+	n := s.view.n
+	return newMorselSource(s.lo, s.hi, n, n+s.dsnap.NumDeltaRows(), s.view.chunkRows, s.opts)
 }
 
 // Close flushes the readers' decode counters into the tracer.
@@ -190,38 +200,35 @@ func (s *scanOp) Close() error {
 	return nil
 }
 
-// claimRange returns the next batch row range [lo, hi), clamped so that no
-// batch spans a fragment boundary: each column's reader then holds exactly
-// one materialized fragment per batch. ok=false means the scan (or its
-// morsel source) is exhausted.
+// claimRange returns the next batch row range [lo, hi). A batch never
+// spans a morsel, so never the base/delta boundary, and a base batch never
+// spans a fragment boundary: each column's reader then holds exactly one
+// materialized fragment per batch. ok=false means the scan's morsels are
+// exhausted.
 func (s *scanOp) claimRange() (int, int, bool) {
-	limit := s.hi
-	if s.source != nil {
-		if s.pos >= s.morselHi {
-			// A morsel claim is the natural scheduling quantum: offer the
-			// worker's admission slot to the oldest waiter so concurrent
-			// queries rotate over the shared pool. Yield only fails when
-			// the query was abandoned while re-queued — end the scan.
-			if !s.opts.slot.Yield() {
-				return 0, 0, false
-			}
-			mlo, mhi, ok := s.source.claim()
-			if !ok {
-				return 0, 0, false
-			}
-			s.pos, s.morselHi = mlo, mhi
+	for s.pos >= s.end {
+		// A morsel claim is the natural scheduling quantum: offer the
+		// worker's admission slot to the oldest waiter so concurrent
+		// queries rotate over the shared pool (serial scans hold no slot).
+		// Yield only fails when the query was abandoned while re-queued —
+		// end the scan.
+		if !s.opts.slot.Yield() {
+			return 0, 0, false
 		}
-		limit = s.morselHi
-	}
-	if s.pos >= limit {
-		return 0, 0, false
+		lo, hi, ok := s.morsels.claim()
+		if !ok {
+			return 0, 0, false
+		}
+		s.pos, s.end = lo, hi
 	}
 	lo := s.pos
-	hi := min(lo+s.opts.batchSize(), limit)
-	for i := range s.cols {
-		if c := s.cols[i].col; c != nil {
-			if _, fe := c.FragSpan(lo); fe < hi {
-				hi = fe
+	hi := min(lo+s.opts.batchSize(), s.end)
+	if lo < s.view.n {
+		for i := range s.cols {
+			if c := s.cols[i].col; c != nil {
+				if _, fe := c.FragSpan(lo); fe < hi {
+					hi = fe
+				}
 			}
 		}
 	}
@@ -255,6 +262,12 @@ func (s *scanOp) fillCol(i, lo, hi int, sel []int32) error {
 			ids[j] = int32(lo + j)
 		}
 		s.batch.Vecs[i] = vector.FromInt32s(ids)
+	case lo >= s.view.n:
+		v, err := s.deltaVector(sc, lo-s.view.n, hi-s.view.n)
+		if err != nil {
+			return err
+		}
+		s.batch.Vecs[i] = v
 	case sc.dictRead:
 		v, err := s.decodeDict(sc, lo, hi, sel)
 		if err != nil {
@@ -279,15 +292,10 @@ func (s *scanOp) fillCol(i, lo, hi int, sel []int32) error {
 	return nil
 }
 
+// Next returns the next batch of the row domain. Deletions (of base or
+// delta rows) become a selection vector, so pending writes never leave the
+// vectorized path or stop a scan from partitioning.
 func (s *scanOp) Next() (*vector.Batch, error) {
-	// Insert deltas require the value-at-a-time merged scan; a bare
-	// deletion list is handled below on the vectorized path with a
-	// selection vector, so deletions neither break partitioned scans nor
-	// force the slow path. The choice is made on the captured snapshot,
-	// so it cannot flip mid-query when a checkpoint absorbs the delta.
-	if s.dsnap.NumDeltaRows() > 0 {
-		return s.nextMerged()
-	}
 	hasDel := s.dsnap.NumDeleted() > 0
 	for {
 		// Batch boundary: the cancellation/budget check of this pipeline.
@@ -371,100 +379,35 @@ func (s *scanOp) decodeDict(sc *scanCol, lo, hi int, sel []int32) (*vector.Vecto
 	return out, nil
 }
 
-// nextMerged is the delta-aware scan path: base rows minus the deletion
-// list, then insert-delta rows minus deletions. It is value-at-a-time; the
-// paper keeps deltas small (a small percentile of the table) before
-// reorganizing, so this path never dominates. Base values resolve through
-// per-column FragLocators, so even this path never pins disk columns.
-func (s *scanOp) nextMerged() (*vector.Batch, error) {
-	if err := s.opts.life.check(); err != nil {
-		return nil, err
+// deltaVector serves delta rows [lo,hi) (0-based within the delta) of a
+// scan column from the snapshot's uncompressed delta columns; only a
+// "<col>#" scan encodes them, one value at a time.
+func (s *scanOp) deltaVector(sc *scanCol, lo, hi int) (*vector.Vector, error) {
+	if !sc.rawCode {
+		v := s.dsnap.DeltaVector(sc.ti, lo, hi)
+		v.Typ = sc.typ
+		return v, nil
 	}
-	bs := s.opts.batchSize()
-	baseN := s.view.n
-	type srcRow struct{ id int32 }
-	rows := make([]srcRow, 0, bs)
-	for len(rows) < bs && s.pos < s.hi {
-		id := int32(s.pos)
-		s.pos++
-		if !s.dsnap.IsDeleted(id) {
-			rows = append(rows, srcRow{id: id})
+	out := sc.buf.Slice(0, hi-lo)
+	for j := range hi - lo {
+		val, err := s.deltaValue(sc, lo+j)
+		if err != nil {
+			return nil, err
 		}
+		out.Set(j, val)
 	}
-	for len(rows) < bs && s.deltaPos < s.dsnap.NumDeltaRows() {
-		id := int32(baseN + s.deltaPos)
-		s.deltaPos++
-		if !s.dsnap.IsDeleted(id) {
-			rows = append(rows, srcRow{id: id})
-		}
-	}
-	if len(rows) == 0 {
-		return nil, nil
-	}
-	b := &vector.Batch{Schema: s.schema, Vecs: make([]*vector.Vector, len(s.cols)), N: len(rows)}
-	for ci := range s.cols {
-		sc := &s.cols[ci]
-		if sc.col != nil && sc.loc == nil {
-			sc.loc = sc.col.Locator(0)
-		}
-		v := vector.New(sc.typ, len(rows))
-		for j, r := range rows {
-			switch {
-			case sc.isRowID:
-				v.Int32s()[j] = r.id
-			case int(r.id) < baseN:
-				var val any
-				var err error
-				switch {
-				case sc.rawCode && !sc.col.IsEnum():
-					// Merged-dict column: the physical value is the string;
-					// translate it through the shared code domain (base rows
-					// are covered by the attach-time merged dictionary).
-					val, err = sc.loc.Value(int(r.id))
-					if err == nil {
-						val, err = sc.lookupCode(val.(string))
-					}
-				case sc.rawCode:
-					val, err = sc.loc.PhysValue(int(r.id))
-				default:
-					val, err = sc.loc.Value(int(r.id))
-				}
-				if err != nil {
-					return nil, err
-				}
-				v.Set(j, val)
-			default:
-				val, err := s.deltaValue(sc, int(r.id)-baseN)
-				if err != nil {
-					return nil, err
-				}
-				v.Set(j, val)
-			}
-		}
-		b.Vecs[ci] = v
-	}
-	return b, nil
+	return out, nil
 }
 
+// deltaValue encodes delta row j of a "<col>#" column into the dictionary
+// code space. Enum dictionaries are append-only and grow with the delta
+// (the existing insert contract); the attach-time merged dictionary of a
+// dict-compressed disk column is a shared immutable snapshot — growing it
+// would desynchronize compiled predicate translations and the registered
+// "<col>#dict" mapping table — so an unseen value is an explicit error
+// (checkpoint or reorganize first, then re-attach).
 func (s *scanOp) deltaValue(sc *scanCol, j int) (any, error) {
-	ti := 0
-	for i, c := range s.view.cols {
-		if c == sc.col {
-			ti = i
-			break
-		}
-	}
-	val := s.dsnap.DeltaValue(ti, j)
-	if !sc.rawCode {
-		return val, nil
-	}
-	// Encode the uncompressed delta value into the dictionary code space.
-	// Enum dictionaries are append-only and grow with the delta (the
-	// existing insert contract); the attach-time merged dictionary of a
-	// dict-compressed disk column is a shared immutable snapshot — growing
-	// it would desynchronize compiled predicate translations and the
-	// registered "<col>#dict" mapping table — so an unseen value is an
-	// explicit error (checkpoint or reorganize first, then re-attach).
+	val := s.dsnap.DeltaValue(sc.ti, j)
 	if d := sc.col.Dict; d != nil {
 		if d.Typ == vector.Float64 {
 			return sc.encodeCode(d.CodeF64(val.(float64))), nil

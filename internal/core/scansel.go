@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -28,9 +29,9 @@ import (
 //     materializes the rows that survived it ("decompress only what you
 //     use") via FragReader.VectorSel and selective dictionary gathers.
 //
-// The delta-bearing merged scan path keeps the decode-first evaluation: it
-// materializes logical values anyway, and delta rows may carry dictionary
-// values the compiled translation has never seen.
+// Batches of the scan's delta range (pending inserts) evaluate the whole
+// predicate decode-first: delta rows hold uncompressed logical values, and
+// may carry dictionary values the compiled translation has never seen.
 type scanSelectOp struct {
 	scan *scanOp
 	opts ExecOptions
@@ -40,8 +41,10 @@ type scanSelectOp struct {
 	// scan's schema; strCols lists the scan columns it reads.
 	strPred *expr.Pred
 	strCols []int
-	// fullPred is the whole predicate, used on the merged delta path.
+	// fullPred is the whole predicate, evaluated on delta ranges over the
+	// scan columns fullCols.
 	fullPred *expr.Pred
+	fullCols []int
 
 	filled []bool
 }
@@ -88,7 +91,7 @@ func newScanSelectOp(op *scanOp, pred expr.Expr, opts ExecOptions) (*scanSelectO
 	if err != nil {
 		return nil, err
 	}
-	s := &scanSelectOp{scan: op, opts: opts, fullPred: full, filled: make([]bool, len(op.cols))}
+	s := &scanSelectOp{scan: op, opts: opts, fullPred: full, fullCols: predCols(pred, op.schema), filled: make([]bool, len(op.cols))}
 	var rest []expr.Expr
 	for _, cj := range conjuncts(pred, nil) {
 		if st := s.translate(cj); st != nil {
@@ -105,15 +108,20 @@ func newScanSelectOp(op *scanOp, pred expr.Expr, opts ExecOptions) (*scanSelectO
 		if s.strPred, err = expr.CompilePred(restPred, op.schema, opts.exprOptions()); err != nil {
 			return nil, err
 		}
-		seen := map[int]bool{}
-		for _, name := range expr.Columns(restPred, nil) {
-			if ci := op.schema.ColIndex(name); ci >= 0 && !seen[ci] {
-				seen[ci] = true
-				s.strCols = append(s.strCols, ci)
-			}
-		}
+		s.strCols = predCols(restPred, op.schema)
 	}
 	return s, nil
+}
+
+// predCols lists the distinct scan columns a predicate reads.
+func predCols(pred expr.Expr, schema vector.Schema) []int {
+	var cols []int
+	for _, name := range expr.Columns(pred, nil) {
+		if ci := schema.ColIndex(name); ci >= 0 && !slices.Contains(cols, ci) {
+			cols = append(cols, ci)
+		}
+	}
+	return cols
 }
 
 // singleStringCol returns the scan column index when cj references exactly
@@ -506,25 +514,6 @@ func (s *scanSelectOp) fill(ci, lo, hi int, sel []int32) error {
 }
 
 func (s *scanSelectOp) Next() (*vector.Batch, error) {
-	if s.scan.dsnap.NumDeltaRows() > 0 {
-		// Merged delta path: logical values are materialized anyway, so the
-		// whole predicate evaluates decode-first.
-		for {
-			b, err := s.scan.nextMerged()
-			if err != nil || b == nil {
-				return nil, err
-			}
-			t0 := time.Now()
-			sel := s.fullPred.Select(b)
-			s.opts.Tracer.RecordCounter("select_decode_first", int64(b.Rows()))
-			s.opts.Tracer.RecordOperator("Select", len(sel), time.Since(t0))
-			if len(sel) == 0 {
-				continue
-			}
-			b.Sel = sel
-			return b, nil
-		}
-	}
 	hasDel := s.scan.dsnap.NumDeleted() > 0
 	for {
 		lo, hi, ok := s.scan.claimRange()
@@ -550,7 +539,11 @@ func (s *scanSelectOp) Next() (*vector.Batch, error) {
 				sel = nil
 			}
 		}
-		for _, st := range s.codeSteps {
+		steps, pred, cols := s.codeSteps, s.strPred, s.strCols
+		if lo >= s.scan.view.n {
+			steps, pred, cols = nil, s.fullPred, s.fullCols
+		}
+		for _, st := range steps {
 			out, err := st.apply(s, lo, hi, sel)
 			if err != nil {
 				return nil, err
@@ -565,8 +558,8 @@ func (s *scanSelectOp) Next() (*vector.Batch, error) {
 			s.opts.Tracer.RecordOperator("Select", 0, time.Since(t0))
 			continue
 		}
-		if s.strPred != nil {
-			for _, ci := range s.strCols {
+		if pred != nil {
+			for _, ci := range cols {
 				if err := s.fill(ci, lo, hi, sel); err != nil {
 					return nil, err
 				}
@@ -576,7 +569,7 @@ func (s *scanSelectOp) Next() (*vector.Batch, error) {
 				nin = len(sel)
 			}
 			b.Sel = sel
-			sel = s.strPred.Select(b)
+			sel = pred.Select(b)
 			s.opts.Tracer.RecordCounter("select_decode_first", int64(nin))
 			if len(sel) == 0 {
 				s.opts.Tracer.RecordOperator("Select", 0, time.Since(t0))

@@ -6,16 +6,16 @@
 // fragments and clears the deltas.
 //
 // Scans therefore see: base rows minus the deletion list, followed by the
-// delta rows minus deletions of delta rows. Delta columns are never
-// compressed (inserted strings into enum columns extend the dictionary,
-// which is append-only, so existing codes stay valid).
+// delta rows minus deletions of delta rows — both vector-at-a-time, the
+// delta rows served as vectors over a Snapshot's delta columns. Delta
+// columns are never compressed (inserted strings into enum columns extend
+// the dictionary, which is append-only, so existing codes stay valid).
 //
-// Checkpoint absorbs the insert delta into a new in-memory base fragment
-// appended to every column, preserving all row ids (deletions stay on the
-// deletion list). It is cheaper than Reorganize — no base rewrite — and is
-// what the parallel scan path uses to avoid the value-at-a-time merged
-// scan. Reorganize remains the full rewrite that also drops deleted rows
-// and re-encodes enum columns.
+// Checkpoint absorbs the insert delta into a new base fragment appended to
+// every column, preserving all row ids (deletions stay on the deletion
+// list). It is cheaper than Reorganize — no base rewrite. Reorganize
+// remains the full rewrite that also drops deleted rows and re-encodes enum
+// columns.
 //
 // The store is internally synchronized so that checkpoints and compaction
 // can run concurrently with writers and scans: Snapshot captures an
@@ -308,14 +308,6 @@ func (s *Store) DeltaValue(ci int, j int) any {
 	return deltaValue(&s.ins[ci], j)
 }
 
-// DeltaVector returns delta rows [lo:hi) of column ci as a logical-typed
-// vector (enum columns come back as plain strings: deltas are uncompressed).
-func (s *Store) DeltaVector(ci, lo, hi int) *vector.Vector {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return deltaVector(&s.ins[ci], lo, hi)
-}
-
 // DeltaRow returns delta row j (0-based within the delta) as one boxed
 // value per column — the shape Insert accepts and the WAL logs.
 func (s *Store) DeltaRow(j int) []any {
@@ -468,8 +460,9 @@ func partsFrom(cols []*colstore.Column, ins []deltaCol, nIns int) (parts []any, 
 // parts either to Table.AppendFragment (in-memory) or to the ColumnBM
 // write-back (disk), then call ClearInserts once the rows are durably part
 // of the base. done=false is returned without changes when a dictionary has
-// outgrown its column's code width — callers fall back to the merged scan
-// or a full Reorganize. With no pending inserts it returns (nil, true, nil).
+// outgrown its column's code width — the delta then stays pending (scans
+// read it as is) until a full Reorganize re-encodes the column. With no
+// pending inserts it returns (nil, true, nil).
 func (s *Store) Parts() (parts []any, done bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -638,7 +631,8 @@ func (sn *Snapshot) IsDeleted(rowID int32) bool {
 func (sn *Snapshot) DeltaValue(ci, j int) any { return deltaValue(&sn.cols[ci], j) }
 
 // DeltaVector returns snapshot delta rows [lo:hi) of column ci as a
-// logical-typed vector.
+// logical-typed vector aliasing the captured buffer (enum columns come back
+// as plain strings: deltas are uncompressed).
 func (sn *Snapshot) DeltaVector(ci, lo, hi int) *vector.Vector {
 	return deltaVector(&sn.cols[ci], lo, hi)
 }

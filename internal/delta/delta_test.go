@@ -83,7 +83,7 @@ func TestDeltaValueAndVector(t *testing.T) {
 	if s.DeltaValue(0, 0) != int32(7) || s.DeltaValue(1, 0) != "q" || s.DeltaValue(2, 0) != 0.7 {
 		t.Fatal("delta values")
 	}
-	v := s.DeltaVector(1, 0, 1)
+	v := s.Snapshot().DeltaVector(1, 0, 1)
 	if v.Strings()[0] != "q" {
 		t.Fatal("delta vector")
 	}

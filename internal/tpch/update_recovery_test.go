@@ -1,6 +1,7 @@
 package tpch
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"math/rand"
 	"os"
@@ -78,9 +79,9 @@ func (tw twinDBs) each(t *testing.T, fn func(db *core.Database) error) {
 // TestUpdateRecoveryDifferential is the durable-update lockdown: a
 // randomized insert/delete/checkpoint/query interleaving runs identically
 // against a disk-attached database and its in-memory twin; mid-stream
-// queries must agree at parallelism 1 and 2 (the parallel runs also
-// exercise the implicit checkpoint-before-partitioned-scan, which on the
-// disk side writes back to the directory). The directory is then
+// queries must agree at parallelism 1 and 2 (the parallel runs partition
+// over the pending delta rows; only the explicit checkpoints write to the
+// directory). The directory is then
 // re-attached cold — a process restart — and all 22 TPC-H queries must
 // return results identical to the in-memory twin at parallelism 1, 2 and
 // 8: every checkpointed insert and deletion survived, nothing else did
@@ -239,10 +240,12 @@ func TestUpdateRecoveryDifferential(t *testing.T) {
 	}
 }
 
-// TestReadOnlyAttachCheckpointNoop asserts the fix for implicit
-// checkpoints: on a freshly attached (read-only: no pending deltas) disk
-// table, parallel queries — which checkpoint scanned tables implicitly —
-// and explicit Checkpoint calls are no-ops that never touch the directory.
+// TestReadOnlyAttachCheckpointNoop asserts that queries never write: on a
+// freshly attached disk table, serial and parallel queries and explicit
+// Checkpoint calls (no pending deltas) never touch the directory, and
+// neither do serial and parallel queries after rows are inserted — the
+// pending inserts are scanned from the delta, not absorbed into chunks.
+// The directory stays byte-identical throughout.
 func TestReadOnlyAttachCheckpointNoop(t *testing.T) {
 	mem, err := Generate(Config{SF: 0.002})
 	if err != nil {
@@ -262,18 +265,18 @@ func TestReadOnlyAttachCheckpointNoop(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	snapshot := func() map[string]int64 {
-		out := map[string]int64{}
+	snapshot := func() map[string][sha256.Size]byte {
+		out := map[string][sha256.Size]byte{}
 		entries, err := os.ReadDir(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, e := range entries {
-			fi, err := e.Info()
+			data, err := os.ReadFile(filepath.Join(dir, e.Name()))
 			if err != nil {
 				t.Fatal(err)
 			}
-			out[e.Name()] = fi.Size()
+			out[e.Name()] = sha256.Sum256(data)
 		}
 		return out
 	}
@@ -309,13 +312,49 @@ func TestReadOnlyAttachCheckpointNoop(t *testing.T) {
 			t.Fatalf("checkpoint %s: done=%v err=%v", name, done, err)
 		}
 	}
+	// Pending inserts, identical on both sides: parallel queries partition
+	// over the delta rows instead of checkpointing them.
+	template := lastRowTemplate(t, mem, "lineitem")
+	for _, db := range []*core.Database{mem, disk} {
+		ds, err := db.Delta("lineitem")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 100; i++ {
+			if _, err := ds.Insert(template); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, q := range []int{1, 6} {
+		plan, err := Query(q, 0.002)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := core.Run(mem, plan, core.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range []int{1, 4} {
+			opts := core.DefaultOptions()
+			opts.Parallelism = p
+			got, err := core.Run(disk, plan, opts)
+			if err != nil {
+				t.Fatalf("pending inserts Q%d p=%d: %v", q, p, err)
+			}
+			sameRowMultisets(t, fmt.Sprintf("pending inserts Q%d p=%d", q, p), want, got)
+		}
+	}
+	if ds, _ := disk.Delta("lineitem"); ds.NumDeltaRows() != 100 {
+		t.Fatalf("queries absorbed the delta: %d rows pending, want 100", ds.NumDeltaRows())
+	}
 	after := snapshot()
 	if len(before) != len(after) {
 		t.Fatalf("directory changed: %d files, was %d", len(after), len(before))
 	}
-	for name, size := range before {
-		if after[name] != size {
-			t.Fatalf("file %s changed size %d -> %d", name, size, after[name])
+	for name, sum := range before {
+		if after[name] != sum {
+			t.Fatalf("file %s changed", name)
 		}
 	}
 	// Sanity: the manifest files still say what they said.
